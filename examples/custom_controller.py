@@ -4,7 +4,8 @@
 Demonstrates the extension surface a downstream user would touch:
 
 1. a custom ``Pacer`` subclass (here, a half-frame burst-then-pace
-   hybrid) dropped into a session via ``RtcSession``'s factories;
+   hybrid) dropped into a WebRTC* session via ``RtcSession``'s
+   ``pacer_factory``;
 2. direct use of the ACE-N controller against synthetic feedback, for
    controller-level experiments without the full pipeline;
 3. a parameter-sweep loop over the ACE-N threshold ``T``.
@@ -24,12 +25,12 @@ from repro.core import AceNConfig, AceNController
 from repro.net import make_wifi_trace
 from repro.net.packet import Packet
 from repro.rtc import SessionConfig
+from repro.rtc.baselines import get_spec
 from repro.rtc.session import RtcSession
-from repro.sim import RngStream, SeedSequenceFactory
+from repro.sim import RngStream
 from repro.transport.feedback import FeedbackMessage, PacketReport
 from repro.transport.pacer.base import Pacer
-from repro.video import AbrVbvRateControl, CodecModel, VideoSource
-from repro.video.codec.presets import x264_config
+from repro.video import VideoSource
 
 
 class HalfBurstPacer(Pacer):
@@ -60,11 +61,9 @@ def run_custom_pacer() -> None:
     session = RtcSession(
         trace=trace,
         config=SessionConfig(duration=15.0, seed=2, initial_bwe_bps=6e6),
+        spec=get_spec("webrtc-star"),
         source_factory=lambda rngs: VideoSource.from_category(
             "gaming", rngs.stream("source")),
-        codec_factory=lambda rngs: CodecModel(x264_config(),
-                                              rngs.stream("codec")),
-        rate_control_factory=AbrVbvRateControl,
         pacer_factory=HalfBurstPacer,
     )
     metrics = session.run()

@@ -1,8 +1,8 @@
 """Live session driver: the ACE stack over real UDP sockets.
 
-Runs the *same* sender and receiver components as the simulated
-:class:`~repro.rtc.session.RtcSession` — codec model, rate control,
-pacers, congestion controller, ACE-N/ACE-C — but schedules them on a
+Runs the *same* sender and receiver stack as the simulated
+:class:`~repro.rtc.session.RtcSession` — both build it with
+:func:`~repro.rtc.stack.build_flow_stack` — but schedules it on a
 :class:`~repro.live.clock.WallClock` and moves packets through
 :class:`~repro.live.transport.UdpTransport` endpoints on the loopback
 interface. An in-process impairment shim substitutes for the paper's
@@ -27,16 +27,11 @@ from typing import Optional
 from repro.live.clock import WallClock
 from repro.live.impairment import ImpairmentConfig, LoopbackImpairment
 from repro.live.transport import UdpTransport
-from repro.net.packet import Packet
 from repro.net.trace import BandwidthTrace
+from repro.rtc.baselines import get_spec
 from repro.rtc.metrics import SessionMetrics
 from repro.rtc.sender import Sender
-from repro.rtc.session import (
-    DisplaySync,
-    _CaptureTimeView,
-    _QualityView,
-    build_ace_controllers,
-)
+from repro.rtc.stack import BaselineSpec, FlowStack, build_flow_stack
 from repro.sim.rng import SeedSequenceFactory
 from repro.transport.receiver import TransportReceiver
 
@@ -112,16 +107,16 @@ class LiveSession:
     """
 
     def __init__(self, trace: Optional[BandwidthTrace], config: LiveConfig,
-                 source_factory, codec_factory, rate_control_factory,
-                 pacer_factory, cc_factory,
-                 sender_config=None, ace_n_config=None,
-                 ace_c_config=None) -> None:
+                 spec: BaselineSpec, category: str = "gaming",
+                 ace_n_config=None, ace_c_config=None) -> None:
+        if spec.fec:
+            raise ValueError("FEC parity is not encodable on the live wire "
+                             "format yet; pick a non-FEC baseline")
         self.trace = trace
         self.config = config
+        self.spec = spec
+        self.category = category
         self.rngs = SeedSequenceFactory(config.seed)
-        self._factories = (source_factory, codec_factory,
-                           rate_control_factory, pacer_factory, cc_factory)
-        self._sender_config = sender_config
         self._ace_n_config = ace_n_config
         self._ace_c_config = ace_c_config
         self._finished = False
@@ -159,8 +154,6 @@ class LiveSession:
         if self._finished:
             raise RuntimeError("session already ran; build a new one")
         config = self.config
-        (source_factory, codec_factory, rate_control_factory,
-         pacer_factory, cc_factory) = self._factories
 
         clock = self.clock = WallClock(asyncio.get_running_loop(),
                                        cpu_accounting=config.cpu_accounting)
@@ -179,109 +172,39 @@ class LiveSession:
         # feedback by the reverse propagation only (uncongested).
         recv_end = await UdpTransport.create(clock)
         send_end = await UdpTransport.create(clock, impairment=impairment)
-        send_end.connect(recv_end.local_addr)
-        recv_end.connect(send_end.local_addr)
-
-        codec = codec_factory(self.rngs)
-        source = source_factory(self.rngs)
-        sender_cfg = self._sender_config
-        if sender_cfg is None:
-            from repro.rtc.sender import SenderConfig
-            sender_cfg = SenderConfig(fps=config.fps)
-        sender_cfg.fps = config.fps
-        if sender_cfg.fec_enabled:
-            raise ValueError("FEC parity is not encodable on the live wire "
-                             "format yet; pick a non-FEC baseline")
-
-        cc = cc_factory()
-        pacer = pacer_factory(clock, send_end.send)
-        pacer.set_pacing_rate(cc.bwe_bps)
-        ace_n, ace_c = build_ace_controllers(
-            sender_cfg, codec, config.fps, config.initial_bwe_bps,
-            ace_n_config=self._ace_n_config, ace_c_config=self._ace_c_config)
-
-        if config.pacer_stats_cap is not None:
-            pacer.stats.rebound(config.pacer_stats_cap)
-
-        telemetry = None
-        if (config.telemetry or config.stats_port is not None or config.slo
-                or config.series):
-            from repro.obs import Telemetry, instrument_stack
-            telemetry = self.telemetry = Telemetry(
-                clock, keep_events=config.keep_telemetry_events)
-            # No Link in live mode — the impairment shim is the bottleneck.
-            instrument_stack(telemetry, pacer=pacer, cc=cc, ace_n=ace_n)
-            if config.slo:
-                self.watchdog = telemetry.attach_watchdog(
-                    pacing_p99_s=config.slo_pacing_p99_s)
-            if config.series:
-                telemetry.attach_series()
-        if config.inject_stall_at is not None:
-            self._schedule_stall(clock, pacer, config.inject_stall_at,
-                                 config.inject_stall_duration)
-
-        sender = self.sender = Sender(
-            clock, source, codec, rate_control_factory(), pacer, cc,
-            send_end, config=sender_cfg, ace_c=ace_c, ace_n=ace_n,
-            telemetry=telemetry)
-        receiver = self.receiver = TransportReceiver(
-            clock,
-            send_feedback_fn=recv_end.send_feedback,
-            decode_time_fn=codec.decode_time,
-            telemetry=telemetry,
-        )
-        receiver.frame_capture_time = _CaptureTimeView(sender)
-        receiver.frame_quality = _QualityView(sender)
-        display_sync = DisplaySync(sender, receiver)
-
-        def on_arrival(packet: Packet) -> None:
-            receiver.on_packet(packet)
-            if display_sync.pending:
-                display_sync.sync()
-
-        recv_end.on_arrival = on_arrival
-        send_end.on_feedback = sender.on_feedback
-        send_end.on_drop = lambda packet: None  # counted by the transport
-
-        if config.audit:
-            from repro.audit.auditor import SessionAuditor
-            # The emulated forward delay plus the honest reverse estimate
-            # keeps measured RTTs at or above base_rtt even on a wall
-            # clock (real time only ever adds delay).
-            self.auditor = SessionAuditor(
-                clock, pacer, ace_n=ace_n, cc=cc,
-                rtt_floor=config.base_rtt,
-                telemetry=telemetry,
-            ).attach_polling(config.audit_interval_s)
-
+        stack = None
         stats_server = None
         media_elapsed = config.duration
         try:
-            # From here on every failure (a busy stats port included)
-            # runs the teardown below — the endpoints are already open.
+            # From here on every failure (a busy stats port, or wiring
+            # the stack) runs the teardown below — the endpoints are open.
+            send_end.connect(recv_end.local_addr)
+            recv_end.connect(send_end.local_addr)
+            stack = self._build_stack(clock, send_end, recv_end)
             if config.stats_port is not None:
                 stats_server = await self._start_stats_server(
                     config.stats_port)
-            if telemetry is not None:
-                telemetry.start_tick()
-            sender.start()
-            receiver.start()
+            if self.telemetry is not None:
+                self.telemetry.start_tick()
+            stack.sender.start()
+            stack.receiver.start()
             await self._wait_or_stop(clock, config.duration)
             media_elapsed = min(clock.now, config.duration)
-            sender.stop()
+            stack.sender.stop()
             # Let in-flight packets and feedback land.
             await clock.sleep(config.drain)
         finally:
-            if telemetry is not None:
-                telemetry.stop_tick()
+            if self.telemetry is not None:
+                self.telemetry.stop_tick()
             # Teardown must leave *nothing* scheduled on the event loop:
             # the feedback tick and the pacer pump otherwise reschedule
             # themselves forever, and close() cancels the transports'
             # delayed sends — a per-session timer leak under a
             # multi-session supervisor.
-            sender.stop()
-            receiver.stop()
-            pacer.cancel_pump()
+            if stack is not None:
+                stack.sender.stop()
+                stack.receiver.stop()
+                stack.sender.pacer.cancel_pump()
             if self._stall_handle is not None:
                 self._stall_handle.cancel()
                 self._stall_handle = None
@@ -290,11 +213,65 @@ class LiveSession:
                 await stats_server.wait_closed()
             send_end.close()
             recv_end.close()
-        display_sync.sync()
         self._finished = True
         if self.auditor is not None:
             self.auditor.finalize()
-        return self._collect(send_end, duration=media_elapsed)
+        return stack.collect(
+            media_elapsed, len(send_end.dropped_packets),
+            self.trace.rate_at if self.trace is not None and config.shaped
+            else None)
+
+    def _build_stack(self, clock: WallClock, send_end: UdpTransport,
+                     recv_end: UdpTransport) -> FlowStack:
+        """Build the flow stack on the endpoints, plus the live-only
+        instruments (telemetry, auditor, stall drill) on top of it."""
+        config = self.config
+        stack = build_flow_stack(
+            self.spec, clock, self.rngs, send_fn=send_end.send,
+            transport=send_end, send_feedback=recv_end.send_feedback,
+            fps=config.fps, initial_bwe_bps=config.initial_bwe_bps,
+            max_bwe_bps=config.max_bwe_bps, category=self.category,
+            ace_n_config=self._ace_n_config,
+            ace_c_config=self._ace_c_config)
+        sender = self.sender = stack.sender
+        receiver = self.receiver = stack.receiver
+        pacer = sender.pacer
+        if config.pacer_stats_cap is not None:
+            pacer.stats.rebound(config.pacer_stats_cap)
+        recv_end.on_arrival = stack.on_arrival
+        send_end.on_feedback = sender.on_feedback
+        send_end.on_drop = lambda packet: None  # counted by the transport
+
+        telemetry = None
+        if (config.telemetry or config.stats_port is not None or config.slo
+                or config.series):
+            from repro.obs import Telemetry, instrument_stack
+            telemetry = self.telemetry = Telemetry(
+                clock, keep_events=config.keep_telemetry_events)
+            sender.telemetry = telemetry
+            receiver.telemetry = telemetry
+            # No Link in live mode — the impairment shim is the bottleneck.
+            instrument_stack(telemetry, pacer=pacer, cc=sender.cc,
+                             ace_n=sender.ace_n)
+            if config.slo:
+                self.watchdog = telemetry.attach_watchdog(
+                    pacing_p99_s=config.slo_pacing_p99_s)
+            if config.series:
+                telemetry.attach_series()
+        if config.inject_stall_at is not None:
+            self._schedule_stall(clock, pacer, config.inject_stall_at,
+                                 config.inject_stall_duration)
+        if config.audit:
+            from repro.audit.auditor import SessionAuditor
+            # The emulated forward delay plus the honest reverse estimate
+            # keeps measured RTTs at or above base_rtt even on a wall
+            # clock (real time only ever adds delay).
+            self.auditor = SessionAuditor(
+                clock, pacer, ace_n=sender.ace_n, cc=sender.cc,
+                rtt_floor=config.base_rtt,
+                telemetry=telemetry,
+            ).attach_polling(config.audit_interval_s)
+        return stack
 
     # ------------------------------------------------------------------
     # fault injection
@@ -360,22 +337,6 @@ class LiveSession:
         self.stats_addr = stats_addr(server)
         return server
 
-    def _collect(self, send_end: UdpTransport,
-                 duration: Optional[float] = None) -> SessionMetrics:
-        sender = self.sender
-        metrics = SessionMetrics(
-            duration=self.config.duration if duration is None else duration)
-        metrics.frames = [sender.frame_metrics[fid]
-                          for fid in sorted(sender.frame_metrics)]
-        metrics.packets_sent = sender.pacer.stats.sent_packets
-        metrics.packets_lost = len(send_end.dropped_packets)
-        metrics.packets_retransmitted = sender.retransmissions
-        metrics.send_events = list(sender.send_events)
-        metrics.bwe_history = [(s.time, s.bwe_bps) for s in sender.cc.history]
-        if self.trace is not None and self.config.shaped:
-            metrics.bandwidth_fn = self.trace.rate_at
-        return metrics
-
     def series_frame(self, meta: Optional[dict] = None):
         """Snapshot of the recorded time-series (None unless
         ``config.series``); a :class:`~repro.obs.timeseries.SeriesFrame`
@@ -402,53 +363,16 @@ def build_live_session(baseline: str, config: Optional[LiveConfig] = None,
                        ace_n_config=None, ace_c_config=None) -> LiveSession:
     """Build a :class:`LiveSession` for a named baseline.
 
-    Reuses the baseline registry's factories, so ``"ace"`` here is the
-    same stack as ``build_session("ace", ...)`` — only the clock and the
-    transport differ.
+    The stack comes from the same builder as
+    ``build_session(baseline, ...)``, so ``"ace"`` here is the same
+    stack as in the simulator — only the clock and the transport differ.
     """
-    # Imported here: baselines imports rtc.session, which imports
-    # repro.live.transport — a module-level import would cycle.
-    from repro.rtc.baselines import (
-        _cc_factory,
-        _codec_factory,
-        _pacer_factory,
-        _rate_control_factory,
-        get_spec,
-    )
-    from repro.rtc.sender import SenderConfig
-    from repro.video.source import VideoSource
-
     config = config or LiveConfig()
     if trace is None:
         trace = BandwidthTrace.constant(
             20e6, duration=config.duration + config.drain + 10)
-    spec = get_spec(baseline)
-
-    def source_factory(rngs, _cat=category, _fps=config.fps):
-        return VideoSource.from_category(_cat, rngs.stream("source"),
-                                         fps=_fps)
-
-    sender_config = SenderConfig(
-        fps=config.fps,
-        ace_c_enabled=spec.ace_c,
-        ace_n_enabled=spec.ace_n,
-        salsify_mode=spec.salsify,
-        fec_enabled=spec.fec,
-        max_target_bitrate_bps=spec.max_target_bitrate_bps,
-    )
-    return LiveSession(
-        trace=trace,
-        config=config,
-        source_factory=source_factory,
-        codec_factory=_codec_factory(spec),
-        rate_control_factory=_rate_control_factory(spec),
-        pacer_factory=_pacer_factory(spec, ace_n_config),
-        cc_factory=_cc_factory(spec, config.initial_bwe_bps,
-                               config.max_bwe_bps),
-        sender_config=sender_config,
-        ace_n_config=ace_n_config,
-        ace_c_config=ace_c_config,
-    )
+    return LiveSession(trace, config, get_spec(baseline), category=category,
+                       ace_n_config=ace_n_config, ace_c_config=ace_c_config)
 
 
 def run_live(baseline: str, config: Optional[LiveConfig] = None,

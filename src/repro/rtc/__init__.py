@@ -1,10 +1,10 @@
-"""RTC pipeline: sender, receiver wiring, session runner, metrics, baselines."""
+"""RTC pipeline: sender, flow-stack builder, session runner, metrics, baselines."""
 
 from repro.rtc.metrics import FrameMetrics, SessionMetrics
 from repro.rtc.sender import Sender, SenderConfig
+from repro.rtc.stack import FlowStack, build_flow_stack
 from repro.rtc.session import RtcSession, SessionConfig
 from repro.rtc.baselines import BASELINES, BaselineSpec, build_session, list_baselines
-from repro.rtc.multiflow import FlowSpec, MultiFlowRtcSession
 from repro.rtc.overhead import OverheadModel, OverheadSample
 
 __all__ = [
@@ -12,14 +12,14 @@ __all__ = [
     "SessionMetrics",
     "Sender",
     "SenderConfig",
+    "FlowStack",
+    "build_flow_stack",
     "RtcSession",
     "SessionConfig",
     "BASELINES",
     "BaselineSpec",
     "build_session",
     "list_baselines",
-    "FlowSpec",
-    "MultiFlowRtcSession",
     "OverheadModel",
     "OverheadSample",
 ]

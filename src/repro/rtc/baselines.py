@@ -17,52 +17,16 @@ turns one into a ready-to-run :class:`RtcSession`. The registry covers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.core.ace_c import AceCConfig
 from repro.core.ace_n import AceNConfig
 from repro.net.trace import BandwidthTrace
-from repro.rtc.sender import SenderConfig
 from repro.rtc.session import RtcSession, SessionConfig
-from repro.sim.events import EventLoop
+from repro.rtc.stack import BaselineSpec
 from repro.sim.rng import SeedSequenceFactory
-from repro.transport.cc.bbr import BbrController
-from repro.transport.cc.copa import CopaController
-from repro.transport.cc.delivery_rate import DeliveryRateController
-from repro.transport.cc.gcc import GccController
-from repro.transport.pacer.base import Pacer
-from repro.transport.pacer.burst import BurstPacer
-from repro.transport.pacer.leaky_bucket import LeakyBucketPacer
-from repro.transport.pacer.token_bucket_pacer import TokenBucketPacer
-from repro.video.codec.presets import codec_config
-from repro.video.codec.model import CodecModel
-from repro.video.codec.rate_control import (
-    AbrVbvRateControl,
-    CbrRateControl,
-    RateControl,
-)
 from repro.video.source import VideoSource
-
-
-@dataclass(frozen=True)
-class BaselineSpec:
-    """Declarative description of one baseline scheme."""
-
-    name: str
-    codec: str = "x264"
-    rate_control: str = "abr"          # "abr" | "cbr"
-    pacer: str = "leaky"               # "leaky" | "burst" | "token"
-    pacing_factor: float = 1.0
-    ace_c: bool = False
-    ace_n: bool = False
-    salsify: bool = False
-    fec: bool = False
-    cc: str = "gcc"                    # "gcc" | "bbr" | "copa" | "delivery"
-    #: ACE's GCC uses a time-windowed trendline (§5.2).
-    time_windowed_trendline: bool = False
-    max_target_bitrate_bps: Optional[float] = None
-    description: str = ""
 
 
 BASELINES: dict[str, BaselineSpec] = {
@@ -136,62 +100,6 @@ def get_spec(name: str) -> BaselineSpec:
     return BASELINES[name]
 
 
-# ----------------------------------------------------------------------
-# factories
-# ----------------------------------------------------------------------
-def _rate_control_factory(spec: BaselineSpec) -> Callable[[], RateControl]:
-    if spec.rate_control == "abr":
-        return lambda: AbrVbvRateControl()
-    if spec.rate_control == "cbr":
-        return lambda: CbrRateControl()
-    raise ValueError(f"unknown rate control {spec.rate_control!r}")
-
-
-def _pacer_factory(spec: BaselineSpec,
-                   ace_n_config: Optional[AceNConfig]) -> Callable[[EventLoop, Callable], Pacer]:
-    if spec.pacer == "leaky":
-        return lambda loop, send: LeakyBucketPacer(loop, send,
-                                                   pacing_factor=spec.pacing_factor)
-    if spec.pacer == "burst":
-        return lambda loop, send: BurstPacer(loop, send)
-    if spec.pacer == "token":
-        initial = (ace_n_config or AceNConfig()).initial_bucket_bytes
-        return lambda loop, send: TokenBucketPacer(loop, send,
-                                                   initial_bucket_bytes=initial)
-    raise ValueError(f"unknown pacer {spec.pacer!r}")
-
-
-def _cc_factory(spec: BaselineSpec, initial_bwe: float,
-                max_bwe: float) -> Callable[[], object]:
-    if spec.cc == "gcc":
-        return lambda: GccController(
-            initial_bwe_bps=initial_bwe, max_bwe_bps=max_bwe,
-            time_windowed_trendline=spec.time_windowed_trendline)
-    if spec.cc == "bbr":
-        return lambda: BbrController(initial_bwe_bps=initial_bwe,
-                                     max_bwe_bps=max_bwe)
-    if spec.cc == "delivery":
-        return lambda: DeliveryRateController(initial_bwe_bps=initial_bwe,
-                                              max_bwe_bps=max_bwe)
-    if spec.cc == "copa":
-        return lambda: CopaController(initial_bwe_bps=initial_bwe,
-                                      max_bwe_bps=max_bwe)
-    if spec.cc == "delivery-throughput":
-        # Throughput-chasing engine: larger headroom, no delay brake —
-        # it fills the bottleneck queue and only yields to loss.
-        return lambda: DeliveryRateController(initial_bwe_bps=initial_bwe,
-                                              max_bwe_bps=max_bwe,
-                                              headroom=1.25,
-                                              delay_brake_s=float("inf"))
-    raise ValueError(f"unknown congestion controller {spec.cc!r}")
-
-
-def _codec_factory(spec: BaselineSpec) -> Callable[[SeedSequenceFactory], CodecModel]:
-    def make(rngs: SeedSequenceFactory) -> CodecModel:
-        return CodecModel(codec_config(spec.codec), rngs.stream("codec"))
-    return make
-
-
 def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
                   session_config: Optional[SessionConfig] = None,
                   category: str = "gaming",
@@ -228,25 +136,11 @@ def build_session(baseline: str | BaselineSpec, trace: BandwidthTrace,
             return VideoSource.from_category(_cat, rngs.stream("source"),
                                              fps=_fps)
 
-    sender_config = SenderConfig(
-        fps=config.fps,
-        ace_c_enabled=spec.ace_c,
-        ace_n_enabled=spec.ace_n,
-        salsify_mode=spec.salsify,
-        fec_enabled=spec.fec,
-        audio_enabled=config.audio,
-        max_target_bitrate_bps=spec.max_target_bitrate_bps,
-    )
-
     return RtcSession(
-        trace=trace,
-        config=config,
+        trace,
+        config,
+        spec,
         source_factory=source_factory,
-        codec_factory=_codec_factory(spec),
-        rate_control_factory=_rate_control_factory(spec),
-        pacer_factory=_pacer_factory(spec, ace_n_config),
-        cc_factory=_cc_factory(spec, config.initial_bwe_bps, config.max_bwe_bps),
-        sender_config=sender_config,
         ace_n_config=ace_n_config,
         ace_c_config=ace_c_config,
         engine=engine,

@@ -1,4 +1,5 @@
-"""ArenaSession tests: wrapper equivalence, late joiners, routes, AQM.
+"""ArenaSession tests: golden fingerprints, shared-bottleneck flows,
+late joiners, routes, AQM.
 
 Includes the PR's acceptance experiment: 2 ACE + 2 GCC (webrtc-star)
 flows on a shared 20 Mbps drop-tail bottleneck must share fairly
@@ -13,10 +14,10 @@ from repro.arena import (
     ArenaMetrics,
     ArenaSession,
     BottleneckSpec,
+    parse_mix,
 )
 from repro.net.trace import BandwidthTrace
 from repro.rtc.metrics import SessionMetrics
-from repro.rtc.multiflow import FlowSpec, MultiFlowRtcSession
 from repro.rtc.session import SessionConfig
 from tests.test_sim_regression import fingerprint
 
@@ -34,23 +35,65 @@ def run_arena(flows, mbps=20.0, duration=8.0, seed=5, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# equivalence with the legacy multi-flow wrapper
+# bit-identity goldens: per-flow fingerprints of three pinned arena runs
 # ----------------------------------------------------------------------
-def test_multiflow_wrapper_is_bit_identical_to_arena():
-    specs = [("ace", 1), ("webrtc-star", 2)]
-    trace = const_trace(30.0, 18.0)
-    cfg = SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6)
+#: sha256 hexdigests of fingerprint() per flow; any change means the
+#: arena's event sequence changed, which must be deliberate (update the
+#: constants in the same commit, and say why in its message).
+ARENA_GOLDEN = {
+    "ace+webrtc-star": {
+        1: "34ad3246b0972209292749391e54c9876960226be48eddad18337530e0fa41d5",
+        2: "892a85fd12cc104c585bde8425496b64b8b614c33cff2faa65e58ceaa16016ae",
+    },
+    "ace*2+webrtc-star+always-burst@3@confucius": {
+        1: "90fdda1d3f535915ed4d73f954b332f5aed00a732a1efe487f8352099972d5d4",
+        2: "776045eb9503fa15dd14660e0718a4481f17e90a3ef21746ea8fb74576af832e",
+        3: "b00ad6c2f03ba516ebdfa16640cd35992a65e97886456a3a0fecd7f2bad8874f",
+        4: "973f05d3fa277ce71b04da9ca2a56e1fe8324df0a57579e57e15c4994578959e",
+    },
+    "partial-routes": {
+        1: "5e81597605afc3dea183b8e16b7ff30a27bfc8eaf6e16e0d1c0610db5540dbb3",
+        2: "4f92163f6b1b4273be0ceb603f0e464a8c15e60e7935edaa4370c5bb78f13e89",
+    },
+}
 
-    legacy = MultiFlowRtcSession(
-        [FlowSpec(b, flow_id=f) for b, f in specs], trace, cfg).run()
-    arena = ArenaSession(
-        [ArenaFlowSpec(b, flow_id=f) for b, f in specs],
-        const_trace(30.0, 18.0),
-        SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6)).run()
 
-    assert sorted(legacy) == sorted(arena.flows)
-    for fid in legacy:
-        assert fingerprint(legacy[fid]) == fingerprint(arena[fid])
+def _golden_session(case: str) -> ArenaSession:
+    if case == "ace+webrtc-star":
+        return ArenaSession(
+            [ArenaFlowSpec("ace", flow_id=1),
+             ArenaFlowSpec("webrtc-star", flow_id=2)],
+            const_trace(30.0, 18.0),
+            SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6))
+    if case == "ace*2+webrtc-star+always-burst@3@confucius":
+        return ArenaSession(
+            [ArenaFlowSpec(**f)
+             for f in parse_mix("ace*2+webrtc-star+always-burst@3")],
+            const_trace(20.0, 18.0),
+            SessionConfig(duration=6.0, seed=5, initial_bwe_bps=6e6),
+            discipline="confucius")
+    assert case == "partial-routes"
+    # flow 1 crosses both routers; flow 2 bypasses the narrow one.
+    return ArenaSession(
+        [ArenaFlowSpec("cbr", flow_id=1, route=(0, 1)),
+         ArenaFlowSpec("cbr", flow_id=2, route=(0,))],
+        config=SessionConfig(duration=8.0, seed=5, initial_bwe_bps=4e6),
+        bottlenecks=[BottleneckSpec(const_trace(30.0)),
+                     BottleneckSpec(const_trace(6.0))])
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    return {case: _golden_session(case).run() for case in ARENA_GOLDEN}
+
+
+@pytest.mark.parametrize("case", sorted(ARENA_GOLDEN))
+def test_arena_results_bit_identical_to_golden(golden_runs, case):
+    results = golden_runs[case]
+    assert {fid: fingerprint(results[fid]) for fid in results} \
+        == ARENA_GOLDEN[case], (
+        f"arena run {case!r} diverged from its golden per-flow "
+        f"fingerprints — arena refactors are supposed to be bit-identical")
 
 
 # ----------------------------------------------------------------------
@@ -62,7 +105,10 @@ def test_sync_cursors_initialized_for_all_flows_at_construction():
                             ArenaFlowSpec("cbr", flow_id=2),
                             ArenaFlowSpec("ace", flow_id=3)],
                            const_trace(30.0), cfg)
-    assert session._sync_cursors == {1: 0, 2: 0, 3: 0}
+    assert sorted(session.stacks) == [1, 2, 3]
+    for fid, stack in session.stacks.items():
+        assert stack.display_sync.receiver is session.receivers[fid]
+        assert not stack.display_sync.pending
     assert session._flow_losses == {1: 0, 2: 0, 3: 0}
 
 
@@ -78,6 +124,51 @@ def test_incremental_loss_counts_match_lost_packets_scan():
     assert sum(scan.values()) > 0, "loss config produced no losses"
     for fid in (1, 2):
         assert results[fid].packets_lost == scan[fid]
+
+
+# ----------------------------------------------------------------------
+# flows sharing one drop-tail bottleneck
+# ----------------------------------------------------------------------
+def test_two_flows_both_deliver():
+    _, results = run_arena([ArenaFlowSpec("ace", flow_id=1),
+                            ArenaFlowSpec("webrtc-star", flow_id=2)],
+                           mbps=40.0)
+    for fid, metrics in results.items():
+        assert len(metrics.displayed_frames()) > 0.8 * len(metrics.frames), \
+            f"flow {fid} must deliver most frames"
+
+
+def test_flows_are_isolated_streams():
+    """Frames of one flow never leak into the other's receiver."""
+    session, _ = run_arena([ArenaFlowSpec("cbr", flow_id=1),
+                            ArenaFlowSpec("cbr", flow_id=2)], mbps=40.0)
+    r1 = session.receivers[1]
+    r2 = session.receivers[2]
+    # both receivers display their own frame 0..N — identity is per-flow
+    assert len(r1.displayed) > 100 and len(r2.displayed) > 100
+    # sender-side bookkeeping matches its own receiver
+    assert len(session.senders[1].frame_metrics) >= len(r1.displayed)
+
+
+def test_two_identical_flows_share_roughly_fairly():
+    """Two equal ACE flows on one bottleneck get comparable bitrates."""
+    _, results = run_arena([ArenaFlowSpec("ace", flow_id=1),
+                            ArenaFlowSpec("ace", flow_id=2)],
+                           mbps=30.0, duration=12.0)
+    rates = {}
+    for fid, metrics in results.items():
+        sizes = [f.size_bytes for f in metrics.frames[-120:]]
+        rates[fid] = sum(sizes) / len(sizes) * 8 * 30
+    ratio = max(rates.values()) / min(rates.values())
+    assert ratio < 2.5, f"equal flows should converge near fairness: {rates}"
+
+
+def test_single_flow_matches_expectations():
+    _, results = run_arena([ArenaFlowSpec("cbr", flow_id=1)], mbps=20.0,
+                           duration=4.0)
+    metrics = results[1]
+    assert metrics.loss_rate() < 0.02
+    assert metrics.p95_latency() < 0.5
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +224,12 @@ def test_validation_errors():
                      discipline="red")
     with pytest.raises(ValueError):       # no trace and no bottlenecks
         ArenaSession([ArenaFlowSpec("ace", flow_id=1)], None, cfg)
+    # arena flows have no audio substream and no cross traffic: refuse
+    # the flags instead of ignoring them
+    for name in ("audio", "cross_traffic"):
+        with pytest.raises(ValueError, match=f"SessionConfig.{name}"):
+            ArenaSession([ArenaFlowSpec("ace", flow_id=1)], trace,
+                         SessionConfig(duration=8.0, seed=3, **{name: True}))
 
 
 def test_cannot_run_twice():
@@ -144,16 +241,8 @@ def test_cannot_run_twice():
 # ----------------------------------------------------------------------
 # multi-router chains and per-flow routes
 # ----------------------------------------------------------------------
-def test_router_chain_with_partial_routes():
-    cfg = SessionConfig(duration=8.0, seed=5, initial_bwe_bps=4e6)
-    bottlenecks = [BottleneckSpec(const_trace(30.0)),
-                   BottleneckSpec(const_trace(6.0))]
-    # flow 1 crosses both routers; flow 2 bypasses the narrow one.
-    session = ArenaSession(
-        [ArenaFlowSpec("cbr", flow_id=1, route=(0, 1)),
-         ArenaFlowSpec("cbr", flow_id=2, route=(0,))],
-        config=cfg, bottlenecks=bottlenecks)
-    results = session.run()
+def test_router_chain_with_partial_routes(golden_runs):
+    results = golden_runs["partial-routes"]
     stats = results.router_stats
     assert len(stats) == 2
     assert stats[0]["enqueued_packets"] > 0

@@ -219,6 +219,10 @@ def test_live_session_runs_ace_stack():
 
 
 def test_live_session_rejects_fec_baselines():
+    # Rejected when the session is built, with no event loop running and
+    # before any UDP endpoint opens (so none can leak).
+    with pytest.raises(ValueError, match="FEC"):
+        build_live_session("ace-fec")
     with pytest.raises(ValueError, match="FEC"):
         run_live("ace-fec", config=short_config())
 
