@@ -1,11 +1,12 @@
 """Runtime invariant auditing for simulated and live sessions.
 
 ``repro.audit`` attaches a :class:`~repro.audit.auditor.SessionAuditor`
-to a running session through the event-loop observability hook
-(:attr:`repro.sim.events.EventLoop.on_event`) — zero overhead when off —
-and verifies, after every event, that the stack still satisfies the
-conservation laws, state invariants and control-law conformance the
-reproduction's claims rest on. See DESIGN.md ("Invariant auditing") for
+to a session as an event-loop observer
+(:meth:`repro.sim.events.EventLoop.observe`) plus subscribers on the
+pacer, link and path packet taps — nothing is wrapped, and detaching
+removes exactly those subscriptions — and verifies, after every event,
+that the stack still satisfies the conservation laws, state invariants
+and control-law conformance the reproduction's claims rest on. See DESIGN.md ("Invariant auditing") for
 the catalogue.
 
 Entry points:

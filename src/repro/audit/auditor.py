@@ -1,14 +1,14 @@
 """Event-hook invariant auditor for the RTC stack.
 
-The auditor is a pure observer: it wraps the hand-off seams between
-components (pacer exit, link offer/deliver/drop, receiver arrival) to
-keep *independent* packet/byte counters, chains onto the event loop's
-``on_event`` hook, and after every executed event cross-checks the
-stack's own state against those counters and against the control laws of
-PAPER §4.1 Algorithm 1. Nothing it reads is allowed to perturb the run:
-in particular it never calls :meth:`TokenBucket.tokens` (which advances
-the lazy-refill state and could shift float rounding) — token counts are
-recomputed virtually from the raw fields.
+The auditor is a pure observer: it subscribes to the packet taps at the
+hand-off seams between components (pacer release, link offer/deliver/
+drop, path arrival) to keep *independent* packet/byte counters, observes
+the event loop, and after every executed event cross-checks the stack's
+own state against those counters and against the control laws of PAPER
+§4.1 Algorithm 1. Nothing it reads is allowed to perturb the run: in
+particular it never calls :meth:`TokenBucket.tokens` (which advances the
+lazy-refill state and could shift float rounding) — it reads the stored
+token level instead.
 
 Three invariant families (see DESIGN.md for the full catalogue):
 
@@ -85,7 +85,7 @@ class InvariantViolation(AssertionError):
 
 @dataclass
 class _SeamCounters:
-    """Independent packet/byte counters kept by the seam wrappers."""
+    """Independent packet/byte counters kept by the tap subscribers."""
 
     left_pacer_packets: int = 0
     left_pacer_bytes: int = 0
@@ -108,7 +108,7 @@ class _SeamCounters:
 class SessionAuditor:
     """Checks the invariant catalogue after every event.
 
-    Attach with :meth:`attach` (sim: per-event via ``loop.on_event``)
+    Attach with :meth:`attach` (sim: per-event, as a loop observer)
     or :meth:`attach_polling` (live: periodic, via ``clock.call_later``
     — wall clocks have no event hook). ``fine_grained`` gates the checks
     that are only sound when evaluated at event granularity (decision
@@ -153,14 +153,8 @@ class SessionAuditor:
         #: so stale-regime fast-recovery jumps are flagged without
         #: false-positives from within-event ordering.
         self._shadow_ratchet: Optional[float] = None
-        # Saved originals for detach().
-        self._orig_pacer_send_fn: Optional[Callable] = None
-        self._orig_link_send: Optional[Callable] = None
-        self._orig_on_deliver: Optional[Callable] = None
-        self._orig_on_drop: Optional[Callable] = None
-        self._orig_on_arrival: Optional[Callable] = None
-        self._prev_hook: Optional[Callable] = None
-        self._hooked_loop = None
+        #: (list, fn) pairs this auditor subscribed; detach() removes them.
+        self._subscriptions: List[tuple] = []
         self._poll_timer: Optional["ScheduledCall"] = None
         self._poll_interval: Optional[float] = None
 
@@ -168,21 +162,14 @@ class SessionAuditor:
     # attachment
     # ------------------------------------------------------------------
     def attach(self) -> "SessionAuditor":
-        """Per-event auditing: chain onto ``loop.on_event`` (sim only).
-
-        Must run *before* ``loop.run()`` — the run loop snapshots the
-        hook at entry.
-        """
+        """Per-event auditing: observe the event loop (sim only)."""
         if self._attached:
             raise RuntimeError("auditor already attached")
-        loop = self.clock
-        if not hasattr(loop, "on_event"):
-            raise TypeError("clock has no on_event hook; use attach_polling()"
+        if not hasattr(self.clock, "observers"):
+            raise TypeError("clock has no observer list; use attach_polling()"
                             " for wall clocks")
-        self._wrap_seams()
-        self._prev_hook = loop.on_event
-        self._hooked_loop = loop
-        loop.on_event = self._on_event
+        self._subscribe_taps()
+        self._subscribe(self.clock.observers, self._after_event)
         self._attached = True
         if self.ace_n is not None:
             self._decision_cursor = len(self.ace_n.decisions)
@@ -202,7 +189,7 @@ class SessionAuditor:
             raise RuntimeError("auditor already attached")
         self.fine_grained = False
         self.strict = False
-        self._wrap_seams()
+        self._subscribe_taps()
         self._attached = True
         if self.ace_n is not None:
             self._decision_cursor = len(self.ace_n.decisions)
@@ -213,97 +200,66 @@ class SessionAuditor:
         return self
 
     def detach(self) -> None:
-        """Restore every wrapped seam and hook."""
+        """Remove exactly the subscriptions this auditor made."""
         if not self._attached:
             return
-        if self._hooked_loop is not None:
-            self._hooked_loop.on_event = self._prev_hook
-            self._hooked_loop = None
         if self._poll_timer is not None:
             self._poll_timer.cancel()
             self._poll_timer = None
-        if self._orig_pacer_send_fn is not None:
-            self.pacer.send_fn = self._orig_pacer_send_fn
-        link = self.link
-        if link is not None:
-            if self._orig_link_send is not None:
-                # The wrapper shadows the bound method in the instance
-                # dict; deleting it re-exposes the class method.
-                del link.send
-            link.on_deliver = self._orig_on_deliver
-            link.on_drop = self._orig_on_drop
-        if self.path is not None:
-            self.path.on_arrival = self._orig_on_arrival
+        for taps, fn in self._subscriptions:
+            taps.remove(fn)
+        self._subscriptions.clear()
         self._attached = False
 
-    def _wrap_seams(self) -> None:
-        counters = self._counters
-        orig_send_fn = self.pacer.send_fn
-        self._orig_pacer_send_fn = orig_send_fn
+    def _subscribe(self, taps: list, fn: Callable) -> None:
+        taps.append(fn)
+        self._subscriptions.append((taps, fn))
 
-        def pacer_exit(packet, _orig=orig_send_fn, _c=counters):
-            _c.left_pacer_packets += 1
-            _c.left_pacer_bytes += packet.size_bytes
-            _orig(packet)
-            # Path-level (pre-link) loss is synchronous and never stamps
-            # t_enter_queue; link tail-drop happens in a later event.
-            if packet.dropped and packet.t_enter_queue is None:
-                _c.prelink_lost_packets += 1
-
-        self.pacer.send_fn = pacer_exit
-
-        link = self.link
-        if link is not None:
-            orig_link_send = link.send
-            self._orig_link_send = orig_link_send
-
-            def link_offer(packet, _orig=orig_link_send, _c=counters):
-                _c.link_in_packets += 1
-                _c.link_in_bytes += packet.size_bytes
-                if packet.flow_id == 0:
-                    _c.link_in_media += 1
-                return _orig(packet)
-
-            link.send = link_offer  # instance attr shadows the method
-
-            self._orig_on_deliver = link.on_deliver
-            self._orig_on_drop = link.on_drop
-
-            def link_deliver(packet, _orig=self._orig_on_deliver, _c=counters):
-                _c.link_out_packets += 1
-                _c.link_out_bytes += packet.size_bytes
-                if packet.flow_id == 0:
-                    _c.link_out_media += 1
-                if _orig is not None:
-                    _orig(packet)
-
-            def link_drop(packet, _orig=self._orig_on_drop, _c=counters):
-                _c.link_drop_packets += 1
-                _c.link_drop_bytes += packet.size_bytes
-                if _orig is not None:
-                    _orig(packet)
-
-            link.on_deliver = link_deliver
-            link.on_drop = link_drop
-
-        path = self.path
-        if path is not None:
-            self._orig_on_arrival = path.on_arrival
-
-            def arrival(packet, _orig=self._orig_on_arrival, _c=counters):
-                if packet.flow_id == 0:
-                    _c.arrived_media += 1
-                if _orig is not None:
-                    _orig(packet)
-
-            path.on_arrival = arrival
+    def _subscribe_taps(self) -> None:
+        self._subscribe(self.pacer.release_taps, self._on_pacer_release)
+        if self.link is not None:
+            self._subscribe(self.link.offer_taps, self._on_link_offer)
+            self._subscribe(self.link.deliver_taps, self._on_link_deliver)
+            self._subscribe(self.link.drop_taps, self._on_link_drop)
+        if self.path is not None:
+            self._subscribe(self.path.arrival_taps, self._on_arrival)
 
     # ------------------------------------------------------------------
-    # hook plumbing
+    # tap and loop subscribers
     # ------------------------------------------------------------------
-    def _on_event(self, event) -> None:
-        if self._prev_hook is not None:
-            self._prev_hook(event)
+    def _on_pacer_release(self, packet) -> None:
+        c = self._counters
+        c.left_pacer_packets += 1
+        c.left_pacer_bytes += packet.size_bytes
+        # Path-level (pre-link) loss is synchronous and never stamps
+        # t_enter_queue; link tail-drop happens in a later event.
+        if packet.dropped and packet.t_enter_queue is None:
+            c.prelink_lost_packets += 1
+
+    def _on_link_offer(self, packet) -> None:
+        c = self._counters
+        c.link_in_packets += 1
+        c.link_in_bytes += packet.size_bytes
+        if packet.flow_id == 0:
+            c.link_in_media += 1
+
+    def _on_link_deliver(self, packet) -> None:
+        c = self._counters
+        c.link_out_packets += 1
+        c.link_out_bytes += packet.size_bytes
+        if packet.flow_id == 0:
+            c.link_out_media += 1
+
+    def _on_link_drop(self, packet) -> None:
+        c = self._counters
+        c.link_drop_packets += 1
+        c.link_drop_bytes += packet.size_bytes
+
+    def _on_arrival(self, packet) -> None:
+        if packet.flow_id == 0:
+            self._counters.arrived_media += 1
+
+    def _after_event(self, event) -> None:
         if not self._saturated:
             self.check_now()
 
@@ -422,17 +378,17 @@ class SessionAuditor:
     def _check_token_bucket(self) -> None:
         pacer = self.pacer
         bucket = pacer.bucket
-        # Read the raw token field: every legitimate mutation (refill,
+        # Read the stored level: every legitimate mutation (refill,
         # consume, resize) leaves it in [0, bucket_bytes], and a lazy
-        # refill only moves it toward the cap — so the raw value carries
-        # the invariant. Never call bucket.tokens(now) here: it advances
-        # the refill state and the changed float rounding breaks
-        # bit-identical fixed-seed runs.
-        tokens = bucket._tokens
-        if tokens < -EPS_BYTES or tokens > bucket._bucket_bytes + EPS_BYTES:
+        # refill only moves it toward the cap — so the stored value
+        # carries the invariant. peek(now) would clamp an over-cap level
+        # and hide the bug; tokens(now) advances the refill state and the
+        # changed float rounding breaks bit-identical fixed-seed runs.
+        tokens = bucket.stored_tokens
+        if tokens < -EPS_BYTES or tokens > bucket.bucket_bytes + EPS_BYTES:
             self._fail("bucket.tokens.range",
                        f"token count {tokens:.3f} outside "
-                       f"[0, {bucket._bucket_bytes:.3f}]")
+                       f"[0, {bucket.bucket_bytes:.3f}]")
         expected = pacer.pacing_rate_bps * pacer.rate_factor
         rate = bucket.rate_bps
         if rate <= 0 or not math.isfinite(rate):
@@ -640,11 +596,12 @@ class SessionAuditor:
 
 def attach_audit(session, strict: bool = True,
                  max_violations: int = 50) -> SessionAuditor:
-    """Attach a per-event auditor to a not-yet-run :class:`RtcSession`.
+    """Attach a per-event auditor to an :class:`RtcSession`.
 
-    Must be called before ``session.run()`` (the event loop snapshots
-    its hook when it starts). Returns the attached auditor; call
-    ``finalize()`` after the run for the end-of-session checks.
+    Attach before ``session.run()`` for a complete audit: the
+    conservation ledgers count from the moment of attachment. Returns the
+    attached auditor; call ``finalize()`` after the run for the
+    end-of-session checks.
     """
     auditor = SessionAuditor(
         session.loop,

@@ -85,6 +85,23 @@ class TokenBucket:
         self._refill(now)
         return self._tokens
 
+    def peek(self, now: float) -> float:
+        """What :meth:`tokens` would return at ``now``, without refilling.
+
+        A pure read for observers: it leaves the refill state untouched,
+        so sampling it never shifts the float rounding of later refills.
+        """
+        elapsed = now - self._last_refill
+        if elapsed > 0:
+            return min(self._bucket_bytes,
+                       self._tokens + elapsed * self._rate_bps / 8.0)
+        return self._tokens
+
+    @property
+    def stored_tokens(self) -> float:
+        """Token count as of the last refill (no accrual since, no clamp)."""
+        return self._tokens
+
     def can_send(self, size_bytes: float, now: float) -> bool:
         elapsed = now - self._last_refill
         if elapsed > 0:

@@ -76,6 +76,12 @@ class Link:
                       else DropTailQueue(queue_capacity_bytes))
         self.on_deliver = on_deliver
         self.on_drop = on_drop
+        #: observer taps, each called as ``fn(packet)``: on every offer
+        #: (before the queue decides), after ``on_deliver`` and after
+        #: ``on_drop``. Observers only — they must not touch the packet.
+        self.offer_taps: list[Callable[[Packet], None]] = []
+        self.deliver_taps: list[Callable[[Packet], None]] = []
+        self.drop_taps: list[Callable[[Packet], None]] = []
         self.stats = LinkStats()
         self._busy = False
         self._service_started_at = 0.0
@@ -109,24 +115,19 @@ class Link:
         stats = self.stats
         size = packet.size_bytes
         queue = self.queue
+        if self.offer_taps:
+            for tap in self.offer_taps:
+                tap(packet)
         if self._fast_droptail:
             queued = queue._bytes + size
             if queued > queue.capacity_bytes:     # try_push inlined (hot path)
-                packet.dropped = True
-                stats.dropped_packets += 1
-                stats.dropped_bytes += size
-                if self.on_drop is not None:
-                    self.on_drop(packet)
+                self._drop(packet)
                 return False
             queue._queue.append(packet)
             queue._bytes = queued
         else:
             if not queue.enqueue(packet, now):
-                packet.dropped = True
-                stats.dropped_packets += 1
-                stats.dropped_bytes += size
-                if self.on_drop is not None:
-                    self.on_drop(packet)
+                self._drop(packet)
                 return False
             queued = queue.bytes_queued
         stats.enqueued_packets += 1
@@ -138,13 +139,18 @@ class Link:
 
     def _dropped_in_queue(self, packet: Packet) -> None:
         """A discipline dropped/evicted a packet it had already queued."""
+        self._occupancy.append((self.loop.now, self.queue.bytes_queued))
+        self._drop(packet)
+
+    def _drop(self, packet: Packet) -> None:
         packet.dropped = True
         stats = self.stats
         stats.dropped_packets += 1
         stats.dropped_bytes += packet.size_bytes
-        self._occupancy.append((self.loop.now, self.queue.bytes_queued))
         if self.on_drop is not None:
             self.on_drop(packet)
+        for tap in self.drop_taps:
+            tap(packet)
 
     def _sample_occupancy(self) -> None:
         self._occupancy.append((self.loop.now, self.queue.bytes_queued))
@@ -188,6 +194,9 @@ class Link:
                                 else queue.bytes_queued))
         if self.on_deliver is not None:
             self.on_deliver(packet)
+        if self.deliver_taps:
+            for tap in self.deliver_taps:
+                tap(packet)
         if self._fast_droptail:
             if queue._queue:
                 self._start_service()

@@ -69,6 +69,8 @@ class NetworkPath:
         self.config = config or PathConfig()
         self.rng = rng
         self.on_arrival: Optional[Callable[[Packet], None]] = None
+        #: observers called as ``fn(packet)`` after each ``on_arrival``.
+        self.arrival_taps: list[Callable[[Packet], None]] = []
         self.on_feedback: Optional[Callable[[object], None]] = None
         self.on_drop: Optional[Callable[[Packet], None]] = None
         self.link = Link(
@@ -146,6 +148,9 @@ class NetworkPath:
         packet.t_arrival = self.loop.now
         if self.on_arrival is not None:
             self.on_arrival(packet)
+        if self.arrival_taps:
+            for tap in self.arrival_taps:
+                tap(packet)
 
     def _dropped_by_link(self, packet: Packet) -> None:
         self.lost_packets.append(packet)

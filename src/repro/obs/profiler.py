@@ -8,10 +8,10 @@ deterministic for a fixed seed; wall times describe the host, not the
 simulation, and never feed back into it — profiling a fixed-seed run
 leaves its results bit-identical.
 
-Cost model: when no profiler is attached the loop's dispatch path is
-unchanged (one ``is None`` check per ``run()``/``drain()`` call, not per
-event); ``scripts/check_perf.py`` gates the profiler-off session bench
-against its plain twin at a tight factor to keep it that way.
+Cost model: when no profiler is attached the loop's one dispatch loop
+pays a single ``is None`` branch per event; ``scripts/check_perf.py``
+gates the profiler-off session bench against its plain twin at a tight
+factor to keep it that way.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class LoopProfiler:
     """Per-event-name callback counters + wall-time histogram.
 
     Attach with :meth:`~repro.sim.events.EventLoop.set_profiler` (or by
-    assigning ``loop.profiler``) *before* running the loop; read the
-    entries (or :meth:`render`) afterwards.
+    assigning ``loop.profiler``); it records from the next event on.
+    Read the entries (or :meth:`render`) afterwards.
     """
 
     def __init__(self) -> None:

@@ -3,11 +3,11 @@
 :func:`instrument_stack` registers the canonical gauges and counters —
 token level, bucket size, estimated queue, BWE, pacer backlog, link
 queue, loss events — against live component objects. Every sample
-function is a *pure read*: in particular the token level is recomputed
-virtually from the bucket's raw fields (never via ``tokens(now)``,
-whose lazy refill would shift float rounding and break bit-identical
-fixed-seed runs — the same rule the invariant auditor follows), and the
-queue estimate is recomputed from the estimator's non-mutating parts
+function is a *pure read*: in particular the token level comes from
+``TokenBucket.peek(now)`` (never ``tokens(now)``, whose lazy refill
+would shift float rounding and break bit-identical fixed-seed runs —
+the same rule the invariant auditor follows), and the queue estimate
+is recomputed from the estimator's non-mutating parts
 (``queue_bytes(now)`` appends to its history).
 """
 
@@ -25,17 +25,6 @@ if TYPE_CHECKING:
     from repro.transport.pacer.base import Pacer
 
 
-def _virtual_tokens(pacer: TokenBucketPacer, telemetry: "Telemetry") -> float:
-    """Token count at ``now`` without advancing the lazy-refill state."""
-    bucket = pacer.bucket
-    elapsed = telemetry.now - bucket._last_refill
-    tokens = bucket._tokens
-    if elapsed > 0:
-        tokens = min(bucket._bucket_bytes,
-                     tokens + elapsed * bucket._rate_bps / 8.0)
-    return tokens
-
-
 def _est_queue_bytes(ace_n: "AceNController") -> float:
     """The estimator's current queue view without recording history."""
     est = ace_n.queue_estimator
@@ -51,8 +40,8 @@ def instrument_stack(telemetry: "Telemetry", *,
 
     Safe to call with partial stacks (live mode has no :class:`Link`;
     non-ACE baselines have no controller). Gauges are polled by the
-    telemetry tick; the loss counter chains the link's ``on_drop``
-    callback (observing only — the original callback still fires).
+    telemetry tick; the loss counter subscribes to the link's
+    ``drop_taps``.
     """
     registry = telemetry.registry
     if pacer is not None:
@@ -74,7 +63,7 @@ def instrument_stack(telemetry: "Telemetry", *,
         if isinstance(pacer, TokenBucketPacer):
             registry.gauge(
                 "bucket.token_level_bytes",
-                sample_fn=lambda p=pacer, t=telemetry: _virtual_tokens(p, t),
+                sample_fn=lambda p=pacer, t=telemetry: p.bucket.peek(t.now),
                 help="Token-bucket fill level in bytes")
             registry.gauge("bucket.size_bytes",
                            sample_fn=lambda p=pacer: p.bucket_bytes,
@@ -120,14 +109,7 @@ def instrument_stack(telemetry: "Telemetry", *,
                        help="Bottleneck link capacity in bits per second")
         drops = registry.counter("link.drop_packets",
                                  help="Packets dropped at the link queue")
-        orig_on_drop = link.on_drop
-
-        def on_drop(packet, _orig=orig_on_drop, _c=drops):
-            _c.inc()
-            if _orig is not None:
-                _orig(packet)
-
-        link.on_drop = on_drop
+        link.drop_taps.append(lambda packet, _c=drops: _c.inc())
     return telemetry
 
 

@@ -133,7 +133,7 @@ class Sender:
         if self.config.audio_enabled:
             self.audio = AudioSource(loop, pacer.enqueue_audio)
         # Wire pacer output into the path and keep send-event records.
-        self._orig_send_fn = pacer.send_fn
+        self._transport_send = pacer.send_fn
         pacer.send_fn = self._packet_leaves_pacer
         self.send_events: list[tuple[float, int]] = []
         if self.ace_n is not None and isinstance(pacer, TokenBucketPacer):
@@ -340,7 +340,7 @@ class Sender:
                 self.telemetry.packet_wire(
                     packet.frame_id, packet.size_bytes,
                     None if enq is None else now - enq)
-        self._orig_send_fn(packet)
+        self._transport_send(packet)
 
     # ------------------------------------------------------------------
     # feedback handling

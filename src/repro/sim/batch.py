@@ -24,11 +24,11 @@ Structure:
   and path machinery.
 
 Configurations outside the fast path's model (random/contention loss,
-delay jitter, cross traffic, FEC, audio, playout buffers, telemetry or
-audit hooks, valve-enabled pacers) fall back to reference semantics:
-``advance`` simply runs the event loop, producing bit-identical results
-to ``--engine reference``. The fallback reason is kept on the engine
-for tests and diagnostics.
+delay jitter, cross traffic, FEC, audio, playout buffers, telemetry,
+loop observers, packet-tap subscribers, valve-enabled pacers) fall back
+to reference semantics: ``advance`` simply runs the event loop,
+producing bit-identical results to ``--engine reference``. The fallback
+reason is kept on the engine for tests and diagnostics.
 
 Numerical contract: the fast path reorders float arithmetic (closed
 forms and cumulative sums instead of sequential per-packet updates), so
@@ -83,6 +83,10 @@ class FrameBurst:
         self.sent = 0
 
 
+def _describe(fn) -> str:
+    return getattr(fn, "__qualname__", repr(fn))
+
+
 def ineligible_reason(session: "RtcSession") -> Optional[str]:
     """Why the fast path cannot model ``session`` (None = eligible)."""
     path = session.path
@@ -104,10 +108,19 @@ def ineligible_reason(session: "RtcSession") -> Optional[str]:
         return "audio substream enabled"
     if session.telemetry is not None:
         return "telemetry attached"
-    if session.loop.on_event is not None:
-        return "event hook attached (audit/tracing)"
+    if session.loop.observers:
+        return f"loop observer {_describe(session.loop.observers[0])} attached"
     if session.loop.profiler is not None:
         return "loop profiler attached"
+    # The pipeline moves packets past these seams without calling them,
+    # so a subscriber would silently see nothing.
+    for owner, name in ((pacer, "release_taps"), (path.link, "offer_taps"),
+                        (path.link, "deliver_taps"), (path.link, "drop_taps"),
+                        (path, "arrival_taps")):
+        taps = getattr(owner, name)
+        if taps:
+            return (f"{type(owner).__name__}.{name} subscriber "
+                    f"{_describe(taps[0])} attached")
     if session.receiver.playout is not None:
         return "playout buffer enabled"
     if isinstance(pacer, TokenBucketPacer):

@@ -70,13 +70,14 @@ class EventLoop:
     def __init__(self, start_time: float = 0.0) -> None:
         #: current simulation time in seconds (read-only for callers).
         self.now = start_time
-        #: observability hook: called as ``on_event(event)`` after each
-        #: executed callback (see :class:`repro.sim.tracing.Tracer`).
-        #: ``None`` keeps the hot loop hook-free.
-        self.on_event: Optional[Callable[[Event], None]] = None
-        #: self-profiler (:class:`repro.obs.profiler.LoopProfiler`).
-        #: ``None`` (the default) keeps dispatch on the unprofiled fast
-        #: path — the check happens once per run()/drain(), not per event.
+        #: observers, each called as ``fn(event)`` after every executed
+        #: callback (:class:`repro.sim.tracing.Tracer`, the invariant
+        #: auditor). Subscribe with :meth:`observe`, leave with
+        #: :meth:`unobserve` (the list object is never replaced); an
+        #: empty list costs one truth test per event.
+        self.observers: list[Callable[[Event], None]] = []
+        #: self-profiler (:class:`repro.obs.profiler.LoopProfiler`);
+        #: ``None`` (the default) costs one ``is None`` test per event.
         self.profiler: Optional["LoopProfiler"] = None
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
@@ -86,12 +87,20 @@ class EventLoop:
                      profiler: Optional["LoopProfiler"]) -> Optional["LoopProfiler"]:
         """Attach (or, with ``None``, detach) a self-profiler.
 
-        Detaching restores the exact unprofiled dispatch path —
+        Detaching restores the unprofiled dispatch branch —
         ``scripts/check_perf.py`` gates that the off state costs nothing.
         Returns the attached profiler for chaining.
         """
         self.profiler = profiler
         return profiler
+
+    def observe(self, fn: Callable[[Event], None]) -> None:
+        """Call ``fn(event)`` after each executed callback, from the next one on."""
+        self.observers.append(fn)
+
+    def unobserve(self, fn: Callable[[Event], None]) -> None:
+        """Remove one subscription of ``fn`` (ValueError if it has none)."""
+        self.observers.remove(fn)
 
     @property
     def pending(self) -> int:
@@ -138,24 +147,7 @@ class EventLoop:
 
     def step(self) -> bool:
         """Execute the next non-cancelled event. Returns False if none remain."""
-        heap = self._heap
-        profiler = self.profiler
-        while heap:
-            when, _seq, event = heappop(heap)
-            if event.cancelled:
-                continue
-            self.now = when
-            self._processed += 1
-            if profiler is None:
-                event.callback()
-            else:
-                t0 = perf_counter()
-                event.callback()
-                profiler.record(event.name, perf_counter() - t0)
-            if self.on_event is not None:
-                self.on_event(event)
-            return True
-        return False
+        return self._dispatch(math.inf, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` passes, or the budget hits.
@@ -166,98 +158,54 @@ class EventLoop:
         *executed callbacks* only — popping a cancelled event never burns
         budget.
         """
-        heap = self._heap
-        hook = self.on_event
-        profiler = self.profiler
-        limit = math.inf if until is None else until
         budget = math.inf if max_events is None else max_events
-        executed = 0
-        stopped_on_budget = False
-        try:
-            if profiler is None:
-                while heap:
-                    if executed >= budget:
-                        stopped_on_budget = True
-                        break
-                    entry = heappop(heap)
-                    when = entry[0]
-                    if when > limit:
-                        # Past the horizon: put it back for the next run().
-                        heappush(heap, entry)
-                        break
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    event.callback()
-                    if hook is not None:
-                        hook(event)
-            else:
-                # Profiled twin of the loop above: identical dispatch
-                # semantics, each callback bracketed by perf_counter().
-                record = profiler.record
-                while heap:
-                    if executed >= budget:
-                        stopped_on_budget = True
-                        break
-                    entry = heappop(heap)
-                    when = entry[0]
-                    if when > limit:
-                        heappush(heap, entry)
-                        break
-                    event = entry[2]
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
-                    t0 = perf_counter()
-                    event.callback()
-                    record(event.name, perf_counter() - t0)
-                    if hook is not None:
-                        hook(event)
-        finally:
-            self._processed += executed
-        if stopped_on_budget:
-            return
+        executed = self._dispatch(math.inf if until is None else until, budget)
+        if executed >= budget and self._heap:
+            return                  # stopped on the budget, not the horizon
         if until is not None and until > self.now:
             self.now = until
 
     def drain(self, max_events: int = 10_000_000) -> None:
         """Run until the queue is empty, with a runaway guard."""
+        if self._dispatch(math.inf, max_events + 1) > max_events:
+            raise SimulationError(f"event budget of {max_events} exhausted")
+
+    def _dispatch(self, limit: float, budget: float) -> int:
+        """Dispatch loop behind :meth:`step`, :meth:`run`, :meth:`drain`.
+
+        Executes events in ``(time, seq)`` order until the heap is empty,
+        the next event lies past ``limit`` (it stays queued), or
+        ``budget`` callbacks have run; returns how many ran. After each
+        callback the profiler (if any) records its wall time and every
+        observer sees the event. Both are read per event, so attaching
+        or detaching either takes effect at the next event.
+        """
         heap = self._heap
-        hook = self.on_event
-        profiler = self.profiler
+        observers = self.observers
         executed = 0
         try:
-            if profiler is None:
-                while heap:
-                    when, _seq, event = heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
+            while heap and executed < budget:
+                entry = heappop(heap)
+                when = entry[0]
+                if when > limit:
+                    heappush(heap, entry)   # past the horizon: keep it queued
+                    break
+                event = entry[2]
+                if event.cancelled:
+                    continue
+                self.now = when
+                executed += 1
+                profiler = self.profiler
+                if profiler is None:
                     event.callback()
-                    if hook is not None:
-                        hook(event)
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"event budget of {max_events} exhausted")
-            else:
-                record = profiler.record
-                while heap:
-                    when, _seq, event = heappop(heap)
-                    if event.cancelled:
-                        continue
-                    self.now = when
-                    executed += 1
+                else:
                     t0 = perf_counter()
                     event.callback()
-                    record(event.name, perf_counter() - t0)
-                    if hook is not None:
-                        hook(event)
-                    if executed > max_events:
-                        raise SimulationError(
-                            f"event budget of {max_events} exhausted")
+                    profiler.record(event.name, perf_counter() - t0)
+                if observers:
+                    # A snapshot, so an observer may unsubscribe mid-event.
+                    for observer in tuple(observers):
+                        observer(event)
         finally:
             self._processed += executed
+        return executed

@@ -1,6 +1,6 @@
 """Event tracing for the simulation engine.
 
-A :class:`Tracer` hooks an :class:`~repro.sim.events.EventLoop` and
+A :class:`Tracer` observes an :class:`~repro.sim.events.EventLoop` and
 records every executed event (time, name) plus any explicit annotations
 components emit. Useful when debugging a pipeline interaction ("what
 fired between t=1.20 and t=1.25?") without littering the code with
@@ -10,8 +10,8 @@ prints. Disabled unless installed, so the hot path stays clean.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.sim.events import Event, EventLoop
 
@@ -37,77 +37,27 @@ class Tracer:
         #: trace is truncated, not complete, and queries must be able to
         #: tell the difference.
         self.dropped_records = 0
-        self._installed = False
-        self._prev_hook: Optional[Callable[[Event], None]] = None
-        #: the exact hook object placed on the loop (see install()).
-        self._hook: Optional[Callable[[Event], None]] = None
 
     # ------------------------------------------------------------------
     # installation
     # ------------------------------------------------------------------
     def install(self) -> "Tracer":
-        """Attach to the loop's ``on_event`` hook to record executed events.
+        """Subscribe to the loop's observers to record executed events.
 
-        Any hook already installed keeps firing (tracers chain), so two
-        tracers with different filters can observe the same loop.
+        Any number of tracers (with different filters) and other
+        observers can watch one loop; each leaves independently.
         """
-        if self._installed:
-            return self
-        self._prev_hook = self.loop.on_event
-        # One stable bound-method object: attribute access creates a new
-        # bound method each time, so identity checks against the chain
-        # (install/uninstall splicing) need the exact installed object.
-        self._hook = self._on_event
-        self.loop.on_event = self._hook
-        self._installed = True
+        if self._after_event not in self.loop.observers:
+            self.loop.observe(self._after_event)
         return self
 
     def uninstall(self) -> None:
-        """Detach from the loop, safe in any order.
+        """Stop recording; safe in any order and when not installed."""
+        if self._after_event in self.loop.observers:
+            self.loop.unobserve(self._after_event)
 
-        Tracers chain: if another tracer installed after this one, naively
-        restoring ``self._prev_hook`` would silently disconnect it (and
-        everything after it). Instead, when this tracer is no longer the
-        head of the chain, the hook that chained onto it is located by
-        walking the chain and spliced directly to this tracer's
-        predecessor, so every other tracer keeps firing.
-        """
-        if not self._installed:
-            return
-        if self.loop.on_event is self._hook:
-            self.loop.on_event = self._prev_hook
-        else:
-            successor = self._find_successor()
-            if successor is None:
-                raise RuntimeError(
-                    "tracer is installed but its hook is not in the loop's "
-                    "on_event chain (a later hook does not chain, or "
-                    "on_event was replaced directly); refusing to corrupt "
-                    "the chain")
-            successor._prev_hook = self._prev_hook
-        self._prev_hook = None
-        self._hook = None
-        self._installed = False
-
-    def _find_successor(self):
-        """The chained hook owner whose predecessor is this tracer.
-
-        Works for any chaining observer that keeps its predecessor in a
-        ``_prev_hook`` attribute (tracers, the session auditor).
-        """
-        hook = self.loop.on_event
-        while hook is not None:
-            owner = getattr(hook, "__self__", None)
-            prev = getattr(owner, "_prev_hook", None)
-            if prev is self._hook:
-                return owner
-            hook = prev
-        return None
-
-    def _on_event(self, event: Event) -> None:
+    def _after_event(self, event: Event) -> None:
         self._record(self.loop.now, event.name)
-        if self._prev_hook is not None:
-            self._prev_hook(event)
 
     # ------------------------------------------------------------------
     # recording

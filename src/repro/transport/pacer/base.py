@@ -75,14 +75,16 @@ class Pacer(abc.ABC):
     pacer state is touched on every packet send.
     """
 
-    __slots__ = ("loop", "send_fn", "stats", "_audio_queue", "_media_queue",
-                 "_rtx_queue", "_queued_bytes", "_pump_event",
+    __slots__ = ("loop", "send_fn", "release_taps", "stats", "_audio_queue",
+                 "_media_queue", "_rtx_queue", "_queued_bytes", "_pump_event",
                  "_pacing_rate_bps")
 
     def __init__(self, loop: "Clock",
                  send_fn: Callable[[Packet], None]) -> None:
         self.loop = loop
         self.send_fn = send_fn
+        #: observers called as ``fn(packet)`` after each ``send_fn`` hand-off.
+        self.release_taps: list[Callable[[Packet], None]] = []
         self.stats = PacerStats()
         self._audio_queue: Deque[Packet] = deque()
         self._media_queue: Deque[Packet] = deque()
@@ -239,6 +241,9 @@ class Pacer(abc.ABC):
         stats.occupancy_samples.append((now, queued))
         self.on_send(packet)
         self.send_fn(packet)
+        if self.release_taps:
+            for tap in self.release_taps:
+                tap(packet)
 
     def on_send(self, packet: Packet) -> None:
         """Hook for subclasses (e.g. token accounting)."""

@@ -95,13 +95,55 @@ class TestCleanAudit:
 
     def test_detach_restores_seams(self):
         session, auditor = make_audited_session()
-        pacer = session.sender.pacer
-        wrapped = pacer.send_fn
+        link = session.path.link
+        seams = (session.loop.observers, session.sender.pacer.release_taps,
+                 link.offer_taps, link.deliver_taps, link.drop_taps,
+                 session.path.arrival_taps)
+        assert all(seams), "attach must subscribe to the loop and every tap"
         auditor.detach()
-        assert pacer.send_fn is not wrapped
-        assert session.loop.on_event is None
-        # Link method wrapper removed: back to the class implementation.
-        assert "send" not in vars(session.path.link)
+        for subscribers in seams:
+            assert not any(getattr(fn, "__self__", None) is auditor
+                           for fn in subscribers)
+        assert session.loop.observers == []
+
+
+class TestOutOfOrderDetach:
+    """Detaching the auditor before a later-attached observer must leave
+    that observer running (each one removes only its own subscriptions)."""
+
+    @staticmethod
+    def start(session):
+        """Start the flow so the test can drive the loop in steps."""
+        session.sender.start()
+        session.receiver.start()
+
+    def test_tracer_keeps_recording_after_auditor_detach(self):
+        from repro.sim.tracing import Tracer
+        session, auditor = make_audited_session(duration=1.5)
+        tracer = Tracer(session.loop).install()
+        self.start(session)
+        session.loop.run(until=0.5)
+        auditor.detach()
+        recorded = len(tracer.records)
+        session.loop.run(until=1.0)
+        assert len(tracer.records) > recorded
+        assert tracer.records[-1].time > 0.5
+        assert len(session.loop.observers) == 1  # the tracer's own
+
+    def test_telemetry_drop_counter_survives_auditor_detach(self):
+        trace = BandwidthTrace.constant(2e6, duration=10.0)
+        session = build_session("ace", trace, SessionConfig(
+            duration=3.0, seed=7, initial_bwe_bps=8e6))
+        auditor = attach_audit(session, strict=True)
+        telemetry = session.enable_telemetry()
+        self.start(session)
+        session.loop.run(until=1.0)
+        auditor.detach()
+        session.loop.run(until=3.0)
+        dropped = session.path.link.stats.dropped_packets
+        assert dropped > 0, "workload must overflow the link queue"
+        counter = telemetry.registry.counter("link.drop_packets")
+        assert counter.value == dropped
 
 
 # ----------------------------------------------------------------------

@@ -129,13 +129,45 @@ def test_batch_fallback_is_reference_exact(config_kwargs, expect):
             == canonical_metrics_json(batch_metrics))
 
 
-def test_batch_fallback_on_telemetry():
+def _attach_tracer(session):
+    from repro.sim.tracing import Tracer
+    Tracer(session.loop).install()
+
+
+def _attach_profiler(session):
+    from repro.obs import LoopProfiler
+    session.loop.set_profiler(LoopProfiler())
+
+
+def _attach_auditor(session):
+    from repro.audit import attach_audit
+    attach_audit(session, strict=True)
+
+
+def _attach_drop_tap(session):
+    session.path.link.drop_taps.append(lambda packet: None)
+
+
+@pytest.mark.parametrize("attach, expect", [
+    (lambda session: session.enable_telemetry(), "telemetry attached"),
+    (_attach_tracer, "loop observer Tracer."),
+    (_attach_profiler, "loop profiler attached"),
+    (_attach_auditor, "loop observer SessionAuditor."),
+    (_attach_drop_tap, "Link.drop_taps subscriber"),
+], ids=["telemetry", "tracer", "profiler", "auditor", "drop-tap"])
+def test_batch_fallback_on_observer(attach, expect):
+    """Every observer kind forces the reference fallback, named in the
+    reason, and the observed run matches the plain reference run."""
     trace = BandwidthTrace.constant(8e6, duration=8.0)
     cfg = SessionConfig(duration=2.0, seed=2)
+    _, ref_metrics = _run_metrics("ace", trace, cfg, "reference")
     session = build_session("ace", trace, cfg, engine="batch")
-    session.enable_telemetry()
-    session.run()
-    assert session.engine.fallback_reason == "telemetry attached"
+    attach(session)
+    metrics = session.run()
+    reason = session.engine.fallback_reason
+    assert reason is not None and reason.startswith(expect), reason
+    assert (canonical_metrics_json(metrics)
+            == canonical_metrics_json(ref_metrics))
 
 
 def test_grid_manifest_records_engine(tmp_path):

@@ -98,3 +98,18 @@ def test_time_never_flows_backwards():
     # a stale query must not subtract tokens
     before = tb.tokens(2.0)
     assert tb.tokens(1.5) == before
+
+
+@pytest.mark.parametrize("now", [0.01, 0.02, 0.0234, 1.0])
+def test_peek_matches_tokens_and_is_pure(now):
+    """peek(now) is what tokens(now) returns, without touching any slot:
+    before the last refill, at it, partway to the cap and past the cap."""
+    import copy
+    tb = TokenBucket(rate_bps=5_305_926.4, bucket_bytes=31_200.0,
+                     initial_fill=0.0, now=0.0)
+    assert tb.consume(10_000, 0.02)   # last refill t=0.02, ~3265 B left
+    slots = {name: getattr(tb, name) for name in TokenBucket.__slots__}
+    expected = copy.copy(tb).tokens(now)
+    assert tb.peek(now) == expected
+    assert {name: getattr(tb, name) for name in TokenBucket.__slots__} == slots
+    assert tb.stored_tokens == slots["_tokens"]

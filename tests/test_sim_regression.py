@@ -109,3 +109,31 @@ def test_fingerprint_is_deterministic_across_runs():
         return fingerprint(build_session("ace", trace, config).run())
 
     assert once() == once()
+
+
+@pytest.mark.parametrize("baseline", sorted(GOLDEN))
+def test_sim_results_bit_identical_with_every_observer_on(baseline):
+    """All observers at once — telemetry with series, a tracer, the loop
+    profiler and a strict auditor — still reproduce the golden
+    fingerprints, and each per-event observer sees every executed event
+    exactly once."""
+    from repro.audit import attach_audit
+    from repro.obs import LoopProfiler
+    from repro.sim.tracing import Tracer
+
+    trace = make_wifi_trace(RngStream(11, "trace"), duration=DURATION + 10)
+    config = SessionConfig(duration=DURATION, seed=SEED)
+    session = build_session(baseline, trace, config)
+    session.enable_telemetry().attach_series()
+    tracer = Tracer(session.loop).install()
+    profiler = session.loop.set_profiler(LoopProfiler())
+    auditor = attach_audit(session, strict=True)
+    metrics = session.run()
+    executed = session.loop.processed
+    assert len(tracer.records) == executed
+    assert profiler.total_events == executed
+    assert auditor.events_checked == executed
+    assert auditor.finalize() == []
+    assert fingerprint(metrics) == GOLDEN[baseline], (
+        f"attaching every observer changed the simulated {baseline} "
+        f"session — observers must not perturb results")
